@@ -65,7 +65,7 @@ fn bench(c: &mut Criterion) {
                 .unwrap()
                 .lowered_modules()
                 .iter()
-                .map(|(_, wm)| wm.clone())
+                .map(|(_, wm)| Module::clone(wm))
                 .collect::<Vec<_>>()
         })
         .collect();

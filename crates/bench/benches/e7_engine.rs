@@ -11,19 +11,23 @@
 //! * `instantiate_from_artifact` — minting a fresh live instance from
 //!   the cached artifact (typed linking + store setup, no static work);
 //! * `invoke_x1000` — 1000 repeated `Instance::invoke` calls through one
-//!   long-lived differential instance.
+//!   long-lived differential instance;
+//! * `wasm_invoke` / `wasm_reset` — one entry invocation, and the
+//!   `Instance::reset` that undoes it (the pool's per-checkin cost), on
+//!   the production engine (`Exec::Wasm`, bytecode tier).
 //!
 //! After the series, the harness prints the amortised per-call cost of
 //! the compile-once/run-many path against the naive recompile-per-call
-//! baseline, and asserts the two acceptance invariants: a warm hit is
-//! ≥ 10× faster than a cold compile, and repeated invocation never
-//! re-runs a static stage (checked via `Timings`).
+//! baseline, and asserts the acceptance invariants: a warm hit is ≥ 10×
+//! faster than a cold compile, repeated invocation never re-runs a
+//! static stage (checked via `Timings`), and a Wasm-tier reset costs at
+//! most 2× the invocation it undoes.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use richwasm_bench::workloads::{stash_client, stash_module};
-use richwasm_repro::engine::{Engine, ModuleSet};
+use richwasm_repro::engine::{Engine, EngineConfig, Exec, Instance, ModuleSet};
 
 fn stash_set() -> ModuleSet {
     ModuleSet::new()
@@ -33,6 +37,16 @@ fn stash_set() -> ModuleSet {
 }
 
 const INVOKES: u32 = 1000;
+
+/// One invocation of `inst`'s entry, then the reset that undoes it:
+/// the wall time of each.
+fn invoke_then_reset(inst: &mut Instance) -> (Duration, Duration) {
+    let t0 = Instant::now();
+    assert_eq!(inst.invoke_entry().unwrap().i32(), Some(42));
+    let t1 = Instant::now();
+    inst.reset().unwrap();
+    (t1 - t0, t1.elapsed())
+}
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e7_engine");
@@ -79,7 +93,27 @@ fn bench(c: &mut Criterion) {
         );
     });
 
+    let wasm_artifact = Engine::with_config(EngineConfig::new().exec(Exec::Wasm))
+        .compile(&stash_set())
+        .unwrap();
+    let mut winst = wasm_artifact.instantiate().unwrap();
+    g.bench_function("wasm_invoke", |b| {
+        b.iter_custom(|iters| (0..iters).map(|_| invoke_then_reset(&mut winst).0).sum());
+    });
+    g.bench_function("wasm_reset", |b| {
+        b.iter_custom(|iters| (0..iters).map(|_| invoke_then_reset(&mut winst).1).sum());
+    });
+
     g.finish();
+
+    // Reset vs invoke, sampled interleaved (each reset undoes the
+    // invocation just before it, so drift hits both alike).
+    let (mut invokes, mut resets): (Vec<Duration>, Vec<Duration>) =
+        (0..301).map(|_| invoke_then_reset(&mut winst)).unzip();
+    invokes.sort();
+    resets.sort();
+    let (invoke, reset) = (invokes[invokes.len() / 2], resets[resets.len() / 2]);
+    println!("e7_engine/wasm tier (E1, bytecode): invoke {invoke:.2?}, reset {reset:.2?}");
 
     // Amortisation report + the 10× acceptance check, measured directly
     // (one shot each, outside the sampled series, so the numbers printed
@@ -123,6 +157,12 @@ fn bench(c: &mut Criterion) {
         "e7_engine/warm_vs_cold_compile",
         cold.as_nanos() as f64 / warm.as_nanos().max(1) as f64,
         10.0,
+    );
+    // Reset ≤ 2× invoke, stated as invoke/reset ≥ 0.5.
+    criterion::acceptance(
+        "e7_engine/wasm_invoke_vs_reset",
+        invoke.as_nanos() as f64 / reset.as_nanos().max(1) as f64,
+        0.5,
     );
 }
 

@@ -54,7 +54,8 @@ pub enum FailureKind {
     /// indicates a lowering or interpreter bug, e.g. a loop that lost
     /// its exit).
     FuelExhausted,
-    /// Reset + re-invoke produced a different agreed result.
+    /// Reset + re-invoke produced a different agreed result, or a reset
+    /// Wasm store differs from a fresh instantiation's.
     Nondeterminism,
 }
 
@@ -191,6 +192,26 @@ pub fn run_case_with(prog: &FuzzProgram, bytecode_check: bool) -> CaseOutcome {
     };
     if let Err(e) = inst.reset() {
         return fail(classify(&e), format!("reset failed: {e}"));
+    }
+    // Reset must restore the Wasm stores byte for byte: memories,
+    // globals and tables equal a fresh instance's (the dirty-chunk reset
+    // copies back only what the run wrote).
+    let fresh = match artifact.instantiate() {
+        Ok(i) => i,
+        Err(e) => return fail(classify(&e), e.to_string()),
+    };
+    for (store, reset, fresh) in [
+        ("wasm", &inst.wasm, &fresh.wasm),
+        ("oracle", &inst.wasm_oracle, &fresh.wasm_oracle),
+    ] {
+        if let (Some(reset), Some(fresh)) = (reset, fresh) {
+            if let Some(diff) = reset.state_diff(fresh) {
+                return fail(
+                    FailureKind::Nondeterminism,
+                    format!("{store} store after reset differs from a fresh one: {diff}"),
+                );
+            }
+        }
     }
     let second = match inst.invoke_entry() {
         Ok(run) => run.i32(),

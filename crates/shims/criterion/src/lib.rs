@@ -113,6 +113,20 @@ impl Bencher {
         times.sort();
         self.last_median = times[times.len() / 2];
     }
+
+    /// Times with a caller-measured clock: `f(iters)` runs the routine
+    /// `iters` times and returns the time that counts, so per-iteration
+    /// setup (e.g. dirtying state for a reset) stays off the clock. Each
+    /// sample is one call with `iters = 1`; the median is kept, as in
+    /// [`Bencher::iter`].
+    pub fn iter_custom<F: FnMut(u64) -> Duration>(&mut self, mut f: F) {
+        for _ in 0..2 {
+            black_box(f(1));
+        }
+        let mut times: Vec<Duration> = (0..self.samples).map(|_| f(1)).collect();
+        times.sort();
+        self.last_median = times[times.len() / 2];
+    }
 }
 
 fn fmt_duration(d: Duration) -> String {

@@ -6,6 +6,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::ast::*;
+use crate::memory::{Memory, MAX_PAGES};
+use crate::validate::Validated;
 
 /// A runtime value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,6 +40,18 @@ impl Val {
             ValType::I64 => Val::I64(0),
             ValType::F32 => Val::F32(0.0),
             ValType::F64 => Val::F64(0.0),
+        }
+    }
+
+    /// The raw bit pattern, zero-extended to 64 bits (floats by their
+    /// IEEE bits, so NaNs compare equal bit-for-bit).
+    #[inline]
+    pub fn bits(self) -> u64 {
+        match self {
+            Val::I32(x) => x as u64,
+            Val::I64(x) => x,
+            Val::F32(x) => x.to_bits() as u64,
+            Val::F64(x) => x.to_bits(),
         }
     }
 
@@ -97,6 +111,11 @@ fn trap<T>(msg: impl Into<String>) -> Result<T, WasmTrap> {
     Err(WasmTrap(msg.into()))
 }
 
+/// The trap for a load or store outside linear memory (both tiers).
+pub(crate) fn oob() -> WasmTrap {
+    WasmTrap("out of bounds memory access".into())
+}
+
 /// One 64 KiB Wasm page.
 pub const PAGE: usize = 65536;
 
@@ -150,7 +169,8 @@ pub(crate) struct ModuleInst {
 }
 
 /// A snapshot of the store's mutable state (globals, memories, tables),
-/// captured by [`WasmLinker::seal`] and restored by [`WasmLinker::reset`].
+/// captured by [`WasmLinker::seal`] and restored by [`WasmLinker::reset`]
+/// (memories chunk by chunk, see [`crate::memory`]).
 #[derive(Debug, Clone)]
 struct Baseline {
     globals: Vec<Val>,
@@ -164,7 +184,7 @@ struct Baseline {
 pub struct WasmLinker {
     pub(crate) funcs: Vec<FuncInst>,
     pub(crate) globals: Vec<Val>,
-    pub(crate) memories: Vec<Vec<u8>>,
+    pub(crate) memories: Vec<Memory>,
     pub(crate) tables: Vec<Vec<Option<FuncAddr>>>,
     pub(crate) instances: Vec<ModuleInst>,
     pub(crate) module_types: Vec<Vec<FuncType>>,
@@ -222,7 +242,23 @@ impl WasmLinker {
     /// Validation failures and unresolved/ill-typed imports are reported
     /// as [`WasmTrap`]s (host-level errors).
     pub fn instantiate(&mut self, name: &str, module: Module) -> Result<usize, WasmTrap> {
-        crate::validate::validate_module(&module).map_err(|e| WasmTrap(e.to_string()))?;
+        let module = Validated::new(module).map_err(|e| WasmTrap(e.to_string()))?;
+        self.instantiate_validated(name, &module)
+    }
+
+    /// [`WasmLinker::instantiate`] for a module that already passed the
+    /// validator: the [`Validated`] token proves it, so validation does
+    /// not run again. The module is borrowed — only its type section is
+    /// copied into the store (function bodies are copied either way).
+    ///
+    /// # Errors
+    ///
+    /// Unresolved/ill-typed imports, as for [`WasmLinker::instantiate`].
+    pub fn instantiate_validated(
+        &mut self,
+        name: &str,
+        module: &Validated<Module>,
+    ) -> Result<usize, WasmTrap> {
         // A baseline captured before this module existed would restore a
         // store with dangling addresses — invalidate it; callers seal
         // again once the full program is instantiated.
@@ -304,8 +340,13 @@ impl WasmLinker {
         }
         // Memory.
         if let Some(pages) = module.memory {
+            let mem = Memory::new(pages).ok_or_else(|| {
+                WasmTrap(format!(
+                    "memory of {pages} pages exceeds the {MAX_PAGES}-page limit"
+                ))
+            })?;
             inst.mem_addr = Some(self.memories.len());
-            self.memories.push(vec![0u8; pages as usize * PAGE]);
+            self.memories.push(mem);
         }
         // Table creation, then element segments (which may target an
         // imported table).
@@ -331,12 +372,9 @@ impl WasmLinker {
         // Data segments.
         if let Some(ma) = inst.mem_addr {
             for d in &module.data {
-                let mem = &mut self.memories[ma];
-                let end = d.offset as usize + d.bytes.len();
-                if end > mem.len() {
-                    return Err(WasmTrap("data segment out of bounds".into()));
-                }
-                mem[d.offset as usize..end].copy_from_slice(&d.bytes);
+                self.memories[ma]
+                    .write(d.offset as usize, &d.bytes)
+                    .ok_or_else(|| WasmTrap("data segment out of bounds".into()))?;
             }
         }
         // Exports.
@@ -346,7 +384,7 @@ impl WasmLinker {
 
         self.instances.push(inst);
         let start = module.start;
-        self.module_types.push(module.types);
+        self.module_types.push(module.types.clone());
         self.names.insert(name.to_string(), module_idx);
 
         // Start function.
@@ -464,7 +502,8 @@ impl WasmLinker {
     }
 
     /// Captures the current mutable state (globals, memories, tables) as
-    /// the linker's *baseline*, enabling [`WasmLinker::reset`].
+    /// the linker's *baseline*, enabling [`WasmLinker::reset`], and clears
+    /// every memory's dirty-chunk bitmap.
     ///
     /// Call this once, after all modules are instantiated (and their start
     /// functions have run): the baseline then represents the freshly
@@ -472,9 +511,12 @@ impl WasmLinker {
     /// much cheaper than — re-validating and re-instantiating every
     /// module.
     pub fn seal(&mut self) {
+        for m in &mut self.memories {
+            m.clear_dirty();
+        }
         self.baseline = Some(Baseline {
             globals: self.globals.clone(),
-            memories: self.memories.clone(),
+            memories: self.memories.iter().map(|m| m.to_vec()).collect(),
             tables: self.tables.clone(),
         });
     }
@@ -489,6 +531,10 @@ impl WasmLinker {
     /// instantiation of the same modules, without re-running validation,
     /// import resolution, or data-segment initialisation.
     ///
+    /// Linear memory costs O(chunks written since the seal or the last
+    /// reset), not O(memory size): only dirty 4 KiB chunks are copied
+    /// back, and pages grown since are dropped.
+    ///
     /// # Errors
     ///
     /// A [`WasmTrap`] when no baseline was captured.
@@ -498,7 +544,9 @@ impl WasmLinker {
             .as_ref()
             .ok_or_else(|| WasmTrap("reset without a sealed baseline".into()))?;
         self.globals.clone_from(&base.globals);
-        self.memories.clone_from(&base.memories);
+        for (m, b) in self.memories.iter_mut().zip(&base.memories) {
+            m.restore(b);
+        }
         self.tables.clone_from(&base.tables);
         self.steps = 0;
         Ok(())
@@ -552,6 +600,48 @@ impl WasmLinker {
     /// Instructions executed by the most recent invocation.
     pub fn last_steps(&self) -> u64 {
         self.steps
+    }
+
+    /// The linear memory `instance` uses (its own or an imported one),
+    /// read-only; `None` for an unknown instance or one without memory.
+    pub fn memory(&self, instance: usize) -> Option<&[u8]> {
+        let ma = self.instances.get(instance)?.mem_addr?;
+        Some(&self.memories[ma])
+    }
+
+    /// The first difference in mutable state — linear memories, globals
+    /// (by bit pattern), tables — between this store and `other`,
+    /// described for a failure message; `None` when they are identical.
+    /// Two stores instantiated from the same modules in the same order
+    /// share every address, so this pins a reset store byte-for-byte
+    /// against a fresh instantiation.
+    pub fn state_diff(&self, other: &WasmLinker) -> Option<String> {
+        if self.memories.len() != other.memories.len() {
+            return Some(format!(
+                "{} memories vs {}",
+                self.memories.len(),
+                other.memories.len()
+            ));
+        }
+        for (i, (a, b)) in self.memories.iter().zip(&other.memories).enumerate() {
+            if a.len() != b.len() {
+                return Some(format!("memory {i}: {} bytes vs {}", a.len(), b.len()));
+            }
+            if let Some(at) = a.iter().zip(b.iter()).position(|(x, y)| x != y) {
+                return Some(format!(
+                    "memory {i}, byte {at}: {:#04x} vs {:#04x}",
+                    a[at], b[at]
+                ));
+            }
+        }
+        let bits = |g: &[Val]| g.iter().copied().map(Val::bits).collect::<Vec<_>>();
+        if bits(&self.globals) != bits(&other.globals) {
+            return Some(format!("globals {:?} vs {:?}", self.globals, other.globals));
+        }
+        if self.tables != other.tables {
+            return Some("tables differ".into());
+        }
+        None
     }
 
     pub(crate) fn call_function(
@@ -627,7 +717,7 @@ impl WasmLinker {
 }
 
 impl Activation {
-    fn mem<'l>(&self, linker: &'l mut WasmLinker) -> Result<&'l mut Vec<u8>, WasmTrap> {
+    fn mem<'l>(&self, linker: &'l mut WasmLinker) -> Result<&'l mut Memory, WasmTrap> {
         let ma = linker.instances[self.module]
             .mem_addr
             .ok_or_else(|| WasmTrap("no memory".into()))?;
@@ -807,11 +897,9 @@ impl Activation {
                     Val::F32(x) => x.to_bits() as u64,
                     Val::F64(x) => x.to_bits(),
                 };
-                let mem = self.mem(linker)?;
-                if addr + bytes > mem.len() {
-                    return trap("out of bounds memory access");
-                }
-                mem[addr..addr + bytes].copy_from_slice(&raw.to_le_bytes()[..bytes]);
+                self.mem(linker)?
+                    .write(addr, &raw.to_le_bytes()[..bytes])
+                    .ok_or_else(oob)?;
             }
             Load8U(off) => {
                 let base = self.pop_i32()? as usize;
@@ -827,22 +915,16 @@ impl Activation {
                 let v = self.pop_i32()?;
                 let base = self.pop_i32()? as usize;
                 let addr = base + *off as usize;
-                let mem = self.mem(linker)?;
-                if addr >= mem.len() {
-                    return trap("out of bounds memory access");
-                }
-                mem[addr] = v as u8;
+                self.mem(linker)?.write(addr, &[v as u8]).ok_or_else(oob)?;
             }
             MemorySize => {
                 let pages = (self.mem(linker)?.len() / PAGE) as u32;
                 self.stack.push(Val::I32(pages));
             }
             MemoryGrow => {
-                let delta = self.pop_i32()? as usize;
-                let mem = self.mem(linker)?;
-                let old = mem.len() / PAGE;
-                mem.resize(mem.len() + delta * PAGE, 0);
-                self.stack.push(Val::I32(old as u32));
+                let delta = self.pop_i32()?;
+                let old = self.mem(linker)?.grow(delta);
+                self.stack.push(Val::I32(old.unwrap_or(u32::MAX)));
             }
             I32Const(c) => self.stack.push(Val::I32(*c as u32)),
             I64Const(c) => self.stack.push(Val::I64(*c as u64)),

@@ -34,6 +34,7 @@ pub mod binary;
 pub mod compile;
 pub mod decode;
 pub mod exec;
+mod memory;
 pub mod text;
 pub mod validate;
 pub mod vm;
@@ -42,4 +43,4 @@ pub use ast::{Export, ExportKind, FuncDef, FuncType, Module, ValType, WInstr};
 pub use compile::{compile_module, decode_compiled, encode_compiled, CompiledModule};
 pub use decode::{decode_module, DecodeError, DecodeErrorKind};
 pub use exec::{Val, WasmLinker};
-pub use validate::validate_module;
+pub use validate::{validate_module, Validated};

@@ -415,6 +415,34 @@ fn float_ty(w: Width) -> ValType {
     }
 }
 
+/// A value that has passed the validator. The field is private, so
+/// [`Validated::new`] — which runs [`validate_module`] — is the only way
+/// to mint one: holders such as
+/// [`WasmLinker::instantiate_validated`](crate::exec::WasmLinker::instantiate_validated)
+/// can skip a second validation without trusting a flag.
+#[derive(Debug, Clone)]
+pub struct Validated<T>(T);
+
+impl Validated<Module> {
+    /// Validates `m`, returning the proof-carrying wrapper.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ValidationError`] found.
+    pub fn new(m: Module) -> Result<Validated<Module>, ValidationError> {
+        validate_module(&m)?;
+        Ok(Validated(m))
+    }
+}
+
+impl<T> std::ops::Deref for Validated<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// Validates a whole module.
 ///
 /// # Errors

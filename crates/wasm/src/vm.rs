@@ -27,22 +27,10 @@
 
 use crate::ast::{ValType, Width};
 use crate::compile::{BranchTarget, CompiledFunc, Op, ESCAPE_PC};
-use crate::exec::{ibin, irel, t_size, FuncImpl, Val, WasmLinker, WasmTrap, PAGE};
+use crate::exec::{ibin, irel, oob, t_size, FuncImpl, Val, WasmLinker, WasmTrap, PAGE};
 
 fn trap<T>(msg: impl Into<String>) -> Result<T, WasmTrap> {
     Err(WasmTrap(msg.into()))
-}
-
-/// A typed value's slot representation: the raw bit pattern,
-/// zero-extended to 64 bits.
-#[inline]
-pub(crate) fn slot_of(v: Val) -> u64 {
-    match v {
-        Val::I32(x) => x as u64,
-        Val::I64(x) => x,
-        Val::F32(x) => x.to_bits() as u64,
-        Val::F64(x) => x.to_bits(),
-    }
 }
 
 /// Rebuilds the typed value a slot represents at declared type `t`.
@@ -112,6 +100,29 @@ fn take_branch(stack: &mut Vec<u64>, base: usize, t: &BranchTarget) -> Result<us
     Ok(t.pc as usize)
 }
 
+/// Stores the low `t_size(ty)` bytes of `raw` at `addr` in memory `mem`
+/// — the one write path of `Store` and the fused store ops, so each
+/// marks its chunks dirty through [`crate::memory::Memory::store`].
+/// Fixed-width arrays (4 or 8 bytes, decided by the static type) keep
+/// the copy a single store rather than a memcpy call.
+#[inline]
+fn store(
+    linker: &mut WasmLinker,
+    mem: Option<usize>,
+    ty: ValType,
+    addr: usize,
+    raw: u64,
+) -> Result<(), WasmTrap> {
+    let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
+    let m = &mut linker.memories[ma];
+    let stored = if t_size(ty) == 4 {
+        m.store(addr, (raw as u32).to_le_bytes())
+    } else {
+        m.store(addr, raw.to_le_bytes())
+    };
+    stored.ok_or_else(oob)
+}
+
 /// Entry point from [`WasmLinker`]'s `call_function`: converts the typed
 /// arguments to slots, runs the flat body on a fresh slot stack,
 /// converts the results back. The caller has already performed the
@@ -125,7 +136,7 @@ pub(crate) fn invoke_compiled(
 ) -> Result<Vec<Val>, WasmTrap> {
     let mut stack: Vec<u64> =
         Vec::with_capacity((args.len() + cf.nlocals as usize + cf.max_stack as usize).max(64));
-    stack.extend(args.into_iter().map(slot_of));
+    stack.extend(args.into_iter().map(Val::bits));
     run(linker, module, cf, &mut stack, depth)?;
     // The frame is gone; the results sit at the bottom of the stack.
     Ok(stack
@@ -171,7 +182,7 @@ fn call_addr(
                 .map(|(s, t)| val_of(*t, s))
                 .collect();
             let results = linker.call_function(addr, args, depth + 1)?;
-            stack.extend(results.into_iter().map(slot_of));
+            stack.extend(results.into_iter().map(Val::bits));
             Ok(())
         }
     }
@@ -291,7 +302,7 @@ fn run(
             }
             Op::GlobalGet(i) => {
                 let addr = linker.instances[module].global_addrs[*i as usize];
-                stack.push(slot_of(linker.globals[addr]));
+                stack.push(linker.globals[addr].bits());
             }
             Op::GlobalSet { idx, ty } => {
                 let v = pop(stack, base)?;
@@ -322,20 +333,7 @@ fn run(
             Op::Store { ty, offset } => {
                 let raw = pop(stack, base)?;
                 let a = pop(stack, base)? as u32 as usize;
-                let addr = a + *offset as usize;
-                let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                let m = &mut linker.memories[ma];
-                if t_size(*ty) == 4 {
-                    let Some(b) = m.get_mut(addr..addr + 4) else {
-                        return trap("out of bounds memory access");
-                    };
-                    b.copy_from_slice(&(raw as u32).to_le_bytes());
-                } else {
-                    let Some(b) = m.get_mut(addr..addr + 8) else {
-                        return trap("out of bounds memory access");
-                    };
-                    b.copy_from_slice(&raw.to_le_bytes());
-                }
+                store(linker, mem, *ty, a + *offset as usize, raw)?;
             }
             Op::Load8U(offset) => {
                 let a = pop(stack, base)? as u32 as usize;
@@ -352,23 +350,17 @@ fn run(
                 let a = pop(stack, base)? as u32 as usize;
                 let addr = a + *offset as usize;
                 let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                let m = &mut linker.memories[ma];
-                if addr >= m.len() {
-                    return trap("out of bounds memory access");
-                }
-                m[addr] = v as u8;
+                linker.memories[ma].store(addr, [v as u8]).ok_or_else(oob)?;
             }
             Op::MemorySize => {
                 let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
                 stack.push((linker.memories[ma].len() / PAGE) as u64);
             }
             Op::MemoryGrow => {
-                let delta = pop(stack, base)? as u32 as usize;
+                let delta = pop(stack, base)? as u32;
                 let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                let m = &mut linker.memories[ma];
-                let old = m.len() / PAGE;
-                m.resize(m.len() + delta * PAGE, 0);
-                stack.push(old as u64);
+                let old = linker.memories[ma].grow(delta);
+                stack.push(u64::from(old.unwrap_or(u32::MAX)));
             }
             Op::Const(v) => stack.push(*v),
             Op::IUn(w, op) => {
@@ -548,7 +540,7 @@ fn run(
             }
             Op::GlobalIncr(w, op, ty, g, c) => {
                 let addr = linker.instances[module].global_addrs[*g as usize];
-                let a = slot_of(linker.globals[addr]);
+                let a = linker.globals[addr].bits();
                 linker.globals[addr] = val_of(*ty, ibin(*w, *op, a, *c)?);
             }
             Op::ConstOp(w, op, c) => {
@@ -670,20 +662,7 @@ fn run(
             Op::Get2Store(ty, offset, i, j) => {
                 let a = stack[locals + *i as usize] as u32 as usize;
                 let raw = stack[locals + *j as usize];
-                let addr = a + *offset as usize;
-                let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                let m = &mut linker.memories[ma];
-                if t_size(*ty) == 4 {
-                    let Some(b) = m.get_mut(addr..addr + 4) else {
-                        return trap("out of bounds memory access");
-                    };
-                    b.copy_from_slice(&(raw as u32).to_le_bytes());
-                } else {
-                    let Some(b) = m.get_mut(addr..addr + 8) else {
-                        return trap("out of bounds memory access");
-                    };
-                    b.copy_from_slice(&raw.to_le_bytes());
-                }
+                store(linker, mem, *ty, a + *offset as usize, raw)?;
             }
             Op::ConstOpSet(w, op, j, c) => {
                 let a = pop(stack, base)?;
@@ -691,7 +670,7 @@ fn run(
             }
             Op::GlobalGetSet(g, j) => {
                 let addr = linker.instances[module].global_addrs[*g as usize];
-                stack[locals + *j as usize] = slot_of(linker.globals[addr]);
+                stack[locals + *j as usize] = linker.globals[addr].bits();
             }
             Op::Meter2 => {}
             Op::GetTestBr(w, i, t) => {
@@ -717,21 +696,8 @@ fn run(
             Op::GetGlobalStore(ty, offset, i, g) => {
                 let a = stack[locals + *i as usize] as u32 as usize;
                 let gaddr = linker.instances[module].global_addrs[*g as usize];
-                let raw = slot_of(linker.globals[gaddr]);
-                let addr = a + *offset as usize;
-                let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                let m = &mut linker.memories[ma];
-                if t_size(*ty) == 4 {
-                    let Some(b) = m.get_mut(addr..addr + 4) else {
-                        return trap("out of bounds memory access");
-                    };
-                    b.copy_from_slice(&(raw as u32).to_le_bytes());
-                } else {
-                    let Some(b) = m.get_mut(addr..addr + 8) else {
-                        return trap("out of bounds memory access");
-                    };
-                    b.copy_from_slice(&raw.to_le_bytes());
-                }
+                let raw = linker.globals[gaddr].bits();
+                store(linker, mem, *ty, a + *offset as usize, raw)?;
             }
             Op::GetLoadGlobalSet(ty, gty, offset, i, g) => {
                 let a = stack[locals + *i as usize] as u32 as usize;
@@ -817,7 +783,7 @@ fn run(
             Op::ConstSetGlobalGetSet(j1, g, j2, c) => {
                 stack[locals + *j1 as usize] = *c;
                 let addr = linker.instances[module].global_addrs[*g as usize];
-                stack[locals + *j2 as usize] = slot_of(linker.globals[addr]);
+                stack[locals + *j2 as usize] = linker.globals[addr].bits();
             }
             Op::GetConstOpConstOpSet(d) => {
                 let v = ibin(d.w, d.op1, stack[locals + d.i as usize], d.c1)?;
@@ -871,21 +837,8 @@ fn run(
             Op::SetGet2Store(ty, offset, b, j) => {
                 let a = pop(stack, base)?;
                 stack[locals + *b as usize] = a;
-                let addr = a as u32 as usize + *offset as usize;
                 let raw = stack[locals + *j as usize];
-                let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                let m = &mut linker.memories[ma];
-                if t_size(*ty) == 4 {
-                    let Some(bs) = m.get_mut(addr..addr + 4) else {
-                        return trap("out of bounds memory access");
-                    };
-                    bs.copy_from_slice(&(raw as u32).to_le_bytes());
-                } else {
-                    let Some(bs) = m.get_mut(addr..addr + 8) else {
-                        return trap("out of bounds memory access");
-                    };
-                    bs.copy_from_slice(&raw.to_le_bytes());
-                }
+                store(linker, mem, *ty, a as u32 as usize + *offset as usize, raw)?;
             }
         }
     }

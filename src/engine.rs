@@ -78,8 +78,7 @@ use richwasm_wasm::compile::{
 };
 use richwasm_wasm::decode::{decode_module, DecodeError};
 use richwasm_wasm::exec::{Val, WasmLinker, WasmTrap};
-use richwasm_wasm::validate::ValidationError;
-use richwasm_wasm::validate_module;
+use richwasm_wasm::validate::{Validated, ValidationError};
 
 use crate::call::{
     flatten_values_to_host, richwasm_host_fn, wasm_host_fn, wasm_vals_to_host_raw, HostCallback,
@@ -1173,7 +1172,8 @@ struct ArtifactInner {
     /// The whole-program table layout the modules were lowered under.
     link_plan: LinkPlan,
     /// Lowered Wasm modules, runtime first (empty in [`Exec::Interp`]).
-    lowered: Vec<(String, w::Module)>,
+    /// Validated once at build or load; instances skip re-validation.
+    lowered: Vec<(String, Validated<w::Module>)>,
     /// Standard `.wasm` encodings of `lowered`.
     binaries: Vec<(String, Vec<u8>)>,
     /// Per-module static-analysis reports, in `lowered` order (empty
@@ -1252,7 +1252,7 @@ impl Artifact {
     /// The lowered Wasm modules in instantiation order, generated
     /// runtime module first (empty in [`Exec::Interp`] mode) — the ASTs
     /// the static-analysis passes (and the bytecode tier) consume.
-    pub fn lowered_modules(&self) -> &[(String, w::Module)] {
+    pub fn lowered_modules(&self) -> &[(String, Validated<w::Module>)] {
         &self.inner.lowered
     }
 
@@ -1434,7 +1434,7 @@ impl Artifact {
             let wm = decode_module(data).map_err(|e| {
                 PipelineError::new(Stage::Decode, Some(&name), PipelineErrorKind::Decode(e))
             })?;
-            validate_module(&wm).map_err(|e| {
+            let wm = Validated::new(wm).map_err(|e| {
                 PipelineError::new(
                     Stage::Validate,
                     Some(&name),
@@ -1561,7 +1561,7 @@ impl Artifact {
                 linker.register_host_module(&hm.name, funcs);
             }
             for (name, wm) in &inner.lowered {
-                let idx = linker.instantiate(name, wm.clone()).map_err(|e| {
+                let idx = linker.instantiate_validated(name, wm).map_err(|e| {
                     PipelineError::new(Stage::Instantiate, Some(name), PipelineErrorKind::Wasm(e))
                 })?;
                 // Bytecode tiers: re-point the defined functions at
@@ -1606,7 +1606,7 @@ impl Artifact {
                 oracle.max_steps = fuel;
             }
             for (name, wm) in &inner.lowered {
-                oracle.instantiate(name, wm.clone()).map_err(|e| {
+                oracle.instantiate_validated(name, wm).map_err(|e| {
                     PipelineError::new(Stage::Instantiate, Some(name), PipelineErrorKind::Wasm(e))
                 })?;
             }
@@ -2687,9 +2687,10 @@ impl Engine {
                 timings.add(Stage::Lower, t0.elapsed());
             }
             let mut rich_iter = lowered_rich.into_iter();
+            let mut unvalidated = Vec::new();
             if let Some(runtime) = rich_iter.next() {
                 debug_assert_eq!(runtime.0, RUNTIME_NAME);
-                lowered.push(runtime);
+                unvalidated.push(runtime);
             }
             let mut decoded_iter = decoded.into_iter();
             for (_, src) in &set.sources {
@@ -2697,19 +2698,21 @@ impl Engine {
                     Source::Wasm(_) => decoded_iter.next(),
                     _ => rich_iter.next(),
                 };
-                lowered.push(next.expect("one lowered/decoded module per source"));
+                unvalidated.push(next.expect("one lowered/decoded module per source"));
             }
 
             let t0 = Instant::now();
-            for (name, wm) in &lowered {
-                validate_module(wm).map_err(|e| {
-                    PipelineError::new(
+            lowered = unvalidated
+                .into_iter()
+                .map(|(name, wm)| match Validated::new(wm) {
+                    Ok(wm) => Ok((name, wm)),
+                    Err(e) => Err(PipelineError::new(
                         Stage::Validate,
-                        Some(name),
+                        Some(&name),
                         PipelineErrorKind::Validation(e),
-                    )
-                })?;
-            }
+                    )),
+                })
+                .collect::<Result<_, _>>()?;
             timings.add(Stage::Validate, t0.elapsed());
 
             let t0 = Instant::now();
