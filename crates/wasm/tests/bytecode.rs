@@ -5,7 +5,7 @@
 //! scale.
 
 use richwasm_wasm::ast::*;
-use richwasm_wasm::compile::{compile_module, decode_compiled, encode_compiled};
+use richwasm_wasm::compile::compile_module;
 use richwasm_wasm::exec::{Val, WasmLinker};
 
 fn one_func(
@@ -449,64 +449,6 @@ fn parameterised_blocks_decline_but_interoperate() {
         differential(&m, "g", &[Val::I32(4)]).unwrap(),
         vec![Val::I32(60)]
     );
-}
-
-#[test]
-fn codec_round_trips_byte_exact() {
-    let mut m = one_func(
-        vec![ValType::I32],
-        vec![ValType::I32],
-        vec![ValType::I64, ValType::F64],
-        vec![
-            WInstr::Block(
-                BlockType::Empty,
-                vec![
-                    WInstr::LocalGet(0),
-                    WInstr::BrIf(0),
-                    WInstr::I32Const(1),
-                    WInstr::LocalSet(0),
-                ],
-            ),
-            WInstr::LocalGet(0),
-            WInstr::F64Const(2.5),
-            WInstr::FUn(Width::W64, FUnOp::Sqrt),
-            WInstr::ITruncF(Width::W32, Width::W64, Sx::U),
-            WInstr::IBin(Width::W32, IBinOp::Add),
-        ],
-    );
-    m.memory = Some(1);
-    let cm = compile_module(&m);
-    let mut bytes = Vec::new();
-    encode_compiled(&cm, &mut bytes);
-    let back = decode_compiled(&bytes).expect("decode");
-    let mut again = Vec::new();
-    encode_compiled(&back, &mut again);
-    assert_eq!(bytes, again, "encode∘decode must be byte-identical");
-
-    // And the decoded form executes identically.
-    let mut tree = WasmLinker::new();
-    let ti = tree.instantiate("m", m.clone()).unwrap();
-    let want = tree.invoke(ti, "f", &[Val::I32(0)]).unwrap();
-    let mut vm = WasmLinker::new();
-    let vi = vm.instantiate("m", m).unwrap();
-    vm.attach_compiled(vi, &back).unwrap();
-    assert_eq!(vm.invoke(vi, "f", &[Val::I32(0)]).unwrap(), want);
-    assert_eq!(vm.last_steps(), tree.last_steps());
-}
-
-#[test]
-fn decode_rejects_garbage() {
-    assert!(decode_compiled(&[]).is_err());
-    assert!(
-        decode_compiled(&[0xFF, 0xFF, 0, 0, 0, 0]).is_err(),
-        "bad version"
-    );
-    // Valid prefix with trailing junk is rejected too.
-    let cm = compile_module(&one_func(vec![], vec![], vec![], vec![WInstr::Nop]));
-    let mut bytes = Vec::new();
-    encode_compiled(&cm, &mut bytes);
-    bytes.push(0);
-    assert!(decode_compiled(&bytes).is_err(), "trailing bytes");
 }
 
 /// Reset determinism on the VM: after mutating globals and memory,

@@ -73,9 +73,7 @@ use richwasm_lower::{lower_modules_with_plan, LinkPlan, LowerError};
 use richwasm_ml::{compile_module as compile_ml, MlError, MlModule};
 use richwasm_wasm::ast as w;
 use richwasm_wasm::binary::encode_module;
-use richwasm_wasm::compile::{
-    compile_module as compile_wasm_bytecode, decode_compiled, encode_compiled, CompiledModule,
-};
+use richwasm_wasm::compile::{compile_module as compile_wasm_bytecode, CompiledModule};
 use richwasm_wasm::decode::{decode_module, DecodeError};
 use richwasm_wasm::exec::{Val, WasmLinker, WasmTrap};
 use richwasm_wasm::validate::{Validated, ValidationError};
@@ -138,6 +136,9 @@ pub enum Stage {
     Validate,
     /// Standard `.wasm` binary encoding.
     Encode,
+    /// Flat-bytecode compilation of the validated Wasm modules (bytecode
+    /// tiers only; see [`WasmTier`]).
+    Bytecode,
     /// CFG/dataflow static analysis of the lowered modules
     /// (`richwasm-analyze`): re-verification, fuel bounds, call-graph
     /// discipline, dead-code lint.
@@ -161,6 +162,7 @@ impl Stage {
                 | Stage::Lower
                 | Stage::Validate
                 | Stage::Encode
+                | Stage::Bytecode
                 | Stage::Analyze
         )
     }
@@ -176,6 +178,7 @@ impl fmt::Display for Stage {
             Stage::Lower => "lower",
             Stage::Validate => "validate",
             Stage::Encode => "encode",
+            Stage::Bytecode => "bytecode",
             Stage::Analyze => "analyze",
             Stage::Execute => "execute",
             Stage::Differential => "differential",
@@ -349,19 +352,19 @@ impl Exec {
 /// Orthogonal to [`Exec`]: `Exec` picks which *backends* run (RichWasm
 /// interpreter, Wasm, or both differentially); `WasmTier` picks how the
 /// Wasm backend itself executes — flat bytecode (the default, compiled
-/// at artifact build time), the tree-walking interpreter (the original
-/// engine, kept as the oracle), or both with every invocation
-/// cross-checked.
+/// from the validated modules at artifact build or load time), the
+/// tree-walking interpreter (the original engine, kept as the oracle),
+/// or both with every invocation cross-checked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WasmTier {
     /// Flat-bytecode VM: function bodies are lowered to linear `Op`
-    /// sequences with pre-resolved branch targets at artifact build
-    /// time. Functions the bytecode compiler declines stay tree-walked
-    /// (the two tiers interoperate call-by-call).
+    /// sequences with pre-resolved branch targets at artifact build or
+    /// load time. Functions the bytecode compiler declines stay
+    /// tree-walked (the two tiers interoperate call-by-call).
     #[default]
     Bytecode,
-    /// Tree-walking interpreter only — no bytecode is compiled, cached,
-    /// or serialized. The reference engine.
+    /// Tree-walking interpreter only — no bytecode is compiled. The
+    /// reference engine.
     Tree,
     /// Bytecode execution **plus** a second tree-walking store that
     /// re-runs every invocation and must agree on results, trap
@@ -389,7 +392,7 @@ impl WasmTier {
         })
     }
 
-    /// True when this tier compiles (and serializes) flat bytecode.
+    /// True when this tier compiles flat bytecode.
     pub fn compiles_bytecode(self) -> bool {
         self != WasmTier::Tree
     }
@@ -1008,7 +1011,7 @@ impl fmt::Display for CacheStats {
 /// Magic + format version of a serialized [`Artifact`] (`DESIGN.md` §9);
 /// bump the trailing byte on any layout change so stale files fall back
 /// to a cold compile instead of misparsing.
-const ARTIFACT_MAGIC: &[u8] = b"RWART\x03";
+const ARTIFACT_MAGIC: &[u8] = b"RWART\x04";
 
 fn write_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
@@ -1179,10 +1182,11 @@ struct ArtifactInner {
     /// Per-module static-analysis reports, in `lowered` order (empty
     /// when [`Analysis::Off`] or in [`Exec::Interp`]).
     analysis: Vec<(String, AnalysisReport)>,
-    /// Flat-bytecode compilations of `lowered`, in the same order
-    /// (empty when [`WasmTier::Tree`] or in [`Exec::Interp`]). Attached
-    /// to every instance's Wasm store at instantiation.
-    compiled: Vec<(String, CompiledModule)>,
+    /// Flat-bytecode compilations of `lowered`, index for index (empty
+    /// when [`WasmTier::Tree`] or in [`Exec::Interp`]). Never persisted:
+    /// see [`compile_bytecode`]. Attached to every instance's Wasm store
+    /// at instantiation.
+    compiled: Vec<CompiledModule>,
     /// Static-stage timings of the (cold) compile that produced this.
     timings: Timings,
 }
@@ -1257,9 +1261,8 @@ impl Artifact {
     }
 
     /// Per-module static-analysis reports, in [`Artifact::lowered_modules`]
-    /// order. Empty when analysis was [`Analysis::Off`], in
-    /// [`Exec::Interp`] mode, or on an artifact loaded from a pre-analysis
-    /// serialization.
+    /// order. Empty when analysis was [`Analysis::Off`] or in
+    /// [`Exec::Interp`] mode.
     pub fn analysis(&self) -> &[(String, AnalysisReport)] {
         &self.inner.analysis
     }
@@ -1292,10 +1295,10 @@ impl Artifact {
     }
 
     /// Serializes the artifact for the persistent cache (or for shipping
-    /// to another process): the standard `.wasm` bytes of every module,
-    /// the entry metadata, the configuration (fields + fingerprint), the
-    /// cache key, and a whole-file checksum. The format is documented in
-    /// `DESIGN.md` §9.
+    /// to another process): the configuration (fields + fingerprint), the
+    /// cache key, the entry metadata, the standard `.wasm` bytes of every
+    /// module, the analysis reports, and a whole-file checksum. Bytecode
+    /// is never written. The format is documented in `DESIGN.md` §9.
     ///
     /// Returns `None` when the artifact is not self-contained on disk:
     /// only [`Exec::Wasm`] artifacts serialize (`.wasm` bytes carry no
@@ -1338,16 +1341,6 @@ impl Artifact {
             write_str(&mut out, name);
             write_analysis(&mut out, report);
         }
-        // v3 bytecode section: one self-versioned payload per compiled
-        // module (see `richwasm_wasm::compile::BYTECODE_VERSION`).
-        out.extend_from_slice(&(inner.compiled.len() as u32).to_le_bytes());
-        for (name, cm) in &inner.compiled {
-            write_str(&mut out, name);
-            let mut payload = Vec::new();
-            encode_compiled(cm, &mut payload);
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&payload);
-        }
         let mut h = Fnv128::new();
         h.update(&out);
         out.extend_from_slice(&h.0.to_le_bytes());
@@ -1361,9 +1354,12 @@ impl Artifact {
     /// decode → validate path before it can be instantiated. The
     /// resulting artifact is equivalent to the original for every
     /// [`Exec::Wasm`] purpose — identical key, entry metadata, and
-    /// byte-identical [`Artifact::wasm_binaries`] — but records no
-    /// static-stage [`Timings`] (nothing was recompiled; the load cost
-    /// itself is what the `e10_decode` bench measures).
+    /// byte-identical [`Artifact::wasm_binaries`]. Bytecode tiers rebuild
+    /// their flat bytecode here from the just-validated modules, so every
+    /// op the VM runs derives from validated input. Like decode and
+    /// validate, that rebuild is part of the load and records no
+    /// static-stage [`Timings`] (nothing was compiled from source; the
+    /// load cost itself is what the `e10_decode` bench measures).
     ///
     /// # Errors
     ///
@@ -1452,34 +1448,10 @@ impl Artifact {
                 read_analysis(&mut r).ok_or_else(|| corrupt("malformed analysis report"))?;
             analysis.push((name, report));
         }
-        // Bytecode section. Framing errors are corruption; a payload
-        // that frames but fails `decode_compiled` (e.g. a bytecode
-        // format-version bump) falls back to recompiling from the
-        // already-validated module — stale bytecode must never force a
-        // full cold compile when the `.wasm` bytes are still good.
-        let n_compiled = u32::from_le_bytes(r.array::<4>().ok_or_else(|| corrupt("eof"))?) as usize;
-        let mut compiled = Vec::new();
-        for _ in 0..n_compiled {
-            let name = r
-                .string()
-                .ok_or_else(|| corrupt("bad compiled-module name"))?;
-            let len = u64::from_le_bytes(r.array::<8>().ok_or_else(|| corrupt("eof"))?) as usize;
-            let data = r.take(len).ok_or_else(|| corrupt("truncated bytecode"))?;
-            let cm = match decode_compiled(data) {
-                Ok(cm) => cm,
-                Err(_) => {
-                    let (_, wm) = lowered
-                        .iter()
-                        .find(|(n, _)| *n == name)
-                        .ok_or_else(|| corrupt("bytecode for unknown module"))?;
-                    compile_wasm_bytecode(wm)
-                }
-            };
-            compiled.push((name, cm));
-        }
         if r.pos != payload.len() {
             return Err(corrupt("trailing bytes in artifact"));
         }
+        let compiled = compile_bytecode(wasm_tier, &lowered);
         Ok(Artifact {
             inner: Arc::new(ArtifactInner {
                 key,
@@ -1560,23 +1532,21 @@ impl Artifact {
                     .collect();
                 linker.register_host_module(&hm.name, funcs);
             }
-            for (name, wm) in &inner.lowered {
+            for (i, (name, wm)) in inner.lowered.iter().enumerate() {
                 let idx = linker.instantiate_validated(name, wm).map_err(|e| {
                     PipelineError::new(Stage::Instantiate, Some(name), PipelineErrorKind::Wasm(e))
                 })?;
                 // Bytecode tiers: re-point the defined functions at
                 // their flat compilations (declined functions keep the
                 // tree-walker — the tiers interoperate call-by-call).
-                if config.wasm_tier.compiles_bytecode() {
-                    if let Some((_, cm)) = inner.compiled.iter().find(|(n, _)| n == name) {
-                        linker.attach_compiled(idx, cm).map_err(|e| {
-                            PipelineError::new(
-                                Stage::Instantiate,
-                                Some(name),
-                                PipelineErrorKind::Wasm(e),
-                            )
-                        })?;
-                    }
+                if let Some(cm) = inner.compiled.get(i) {
+                    linker.attach_compiled(idx, cm).map_err(|e| {
+                        PipelineError::new(
+                            Stage::Instantiate,
+                            Some(name),
+                            PipelineErrorKind::Wasm(e),
+                        )
+                    })?;
                 }
             }
             // Baseline for cheap Instance::reset.
@@ -2723,15 +2693,11 @@ impl Engine {
         }
 
         // Bytecode tier: flatten every validated function body to linear
-        // ops (timed under `Encode` — it is the other build-time code
-        // emission). Tree tier skips this entirely.
-        let mut compiled = Vec::new();
-        if config.exec.wants_wasm() && config.wasm_tier.compiles_bytecode() {
-            let t0 = Instant::now();
-            for (name, wm) in &lowered {
-                compiled.push((name.clone(), compile_wasm_bytecode(wm)));
-            }
-            timings.add(Stage::Encode, t0.elapsed());
+        // ops. Tree tier skips this entirely.
+        let t0 = Instant::now();
+        let compiled = compile_bytecode(config.wasm_tier, &lowered);
+        if !compiled.is_empty() {
+            timings.add(Stage::Bytecode, t0.elapsed());
         }
 
         // Stage 6: CFG/dataflow static analysis of every lowered (or
@@ -2768,6 +2734,23 @@ impl Engine {
             }),
         })
     }
+}
+
+/// Flat-bytecode compilations of `lowered`, index for index — empty
+/// unless `tier` compiles bytecode. The single rule both a cold build and
+/// [`Artifact::deserialize`] follow: bytecode is only ever derived from
+/// modules that have just passed validation, never read from outside.
+fn compile_bytecode(
+    tier: WasmTier,
+    lowered: &[(String, Validated<w::Module>)],
+) -> Vec<CompiledModule> {
+    if !tier.compiles_bytecode() {
+        return Vec::new();
+    }
+    lowered
+        .iter()
+        .map(|(_, wm)| compile_wasm_bytecode(wm))
+        .collect()
 }
 
 /// Applies the [`Analysis`] policy to one module's report: under

@@ -654,6 +654,17 @@ fn persistent_cache_survives_engine_restart() {
     // Engine A: cold compile, written to disk.
     let a = Engine::with_config(config());
     let cold = a.compile(&stash_set()).unwrap();
+    // Encoding and bytecode compilation are timed as separate stages,
+    // once each.
+    let count = |stage| {
+        cold.timings()
+            .entries()
+            .iter()
+            .filter(|(s, _)| *s == stage)
+            .count()
+    };
+    assert_eq!(count(Stage::Encode), 1, "{}", cold.timings());
+    assert_eq!(count(Stage::Bytecode), 1, "{}", cold.timings());
     let mut cold_inst = cold.instantiate().unwrap();
     let cold_result = cold_inst.invoke_entry().unwrap().results().to_vec();
     assert_eq!(a.cache_stats().misses, 1);
@@ -797,12 +808,13 @@ fn artifact_serialize_round_trips_and_rejects_tampering() {
     assert!(hosted.serialize().is_none());
 }
 
-// PR 10: the flat-bytecode tier — `.rwart` v3 persistence, the
-// tree-walker oracle (`WasmTier::Check`), and stale-format fallbacks.
+// The flat-bytecode tier: `.rwart` v4 persistence (bytecode rebuilt at
+// load, never read from the file), the tree-walker oracle
+// (`WasmTier::Check`), and stale-format fallbacks.
 
 /// The engine-side FNV-1a-128 the artifact checksum uses, replicated so
 /// tests can re-seal deliberately tampered payloads and reach the
-/// *post*-checksum fallback paths.
+/// checks behind the checksum.
 fn fnv128(bytes: &[u8]) -> u128 {
     let mut h: u128 = 0x6c62272e07bb014262b821756295c58d;
     for &b in bytes {
@@ -813,23 +825,23 @@ fn fnv128(bytes: &[u8]) -> u128 {
 }
 
 #[test]
-fn bytecode_artifact_v3_round_trips_byte_exact() {
+fn bytecode_artifact_v4_round_trips_byte_exact() {
+    use richwasm_repro::WasmTier;
+
     let engine = Engine::with_config(EngineConfig::new().exec(Exec::Wasm));
     let artifact = engine.compile(&counter_set()).unwrap();
-    let bytes = artifact.serialize().expect("v3 artifact serializes");
-    assert_eq!(&bytes[..6], b"RWART\x03", "v3 magic");
+    let bytes = artifact.serialize().expect("v4 artifact serializes");
+    assert_eq!(&bytes[..6], b"RWART\x04", "v4 magic");
 
-    // deserialize ∘ serialize is byte-identical: the embedded bytecode
-    // section survives the round trip exactly.
+    // serialize ∘ deserialize ∘ serialize is a fixed point: bytecode is
+    // rebuilt at load, so nothing but the `.wasm` modules, metadata and
+    // reports is in the file to survive the round trip.
     let loaded = richwasm_repro::Artifact::deserialize(&bytes).unwrap();
     let again = loaded.serialize().expect("loaded artifact re-serializes");
     assert_eq!(bytes, again, "serialize∘deserialize∘serialize must fix");
 
     // And the loaded artifact executes on the bytecode tier.
-    assert_eq!(
-        loaded.config().wasm_tier,
-        richwasm_repro::WasmTier::Bytecode
-    );
+    assert_eq!(loaded.config().wasm_tier, WasmTier::Bytecode);
     let mut inst = loaded.instantiate().unwrap();
     inst.invoke("app", "setup", vec![Value::i32(3)]).unwrap();
     inst.invoke("app", "bump", vec![Value::Unit]).unwrap();
@@ -840,16 +852,108 @@ fn bytecode_artifact_v3_round_trips_byte_exact() {
             .i32(),
         Some(6)
     );
+
+    // A Check-tier artifact loaded from bytes cross-checks the rebuilt
+    // bytecode against the tree-walker on every invoke.
+    let check = Engine::with_config(
+        EngineConfig::new()
+            .exec(Exec::Wasm)
+            .wasm_tier(WasmTier::Check),
+    )
+    .compile(&counter_set())
+    .unwrap();
+    let check_bytes = check.serialize().expect("Check-tier artifact serializes");
+    let loaded = richwasm_repro::Artifact::deserialize(&check_bytes).unwrap();
+    assert_eq!(loaded.config().wasm_tier, WasmTier::Check);
+    let mut inst = loaded.instantiate().unwrap();
+    assert!(
+        inst.wasm_oracle.is_some(),
+        "loaded Check tier has an oracle"
+    );
+    inst.invoke("app", "setup", vec![Value::i32(7)]).unwrap();
+    for _ in 0..3 {
+        inst.invoke("app", "bump", vec![Value::Unit]).unwrap();
+    }
+    assert_eq!(
+        inst.invoke("app", "total", vec![Value::Unit])
+            .unwrap()
+            .i32(),
+        Some(21)
+    );
+}
+
+/// Every byte of a v4 file ahead of its checksum, XOR-ed with each of
+/// three masks and re-sealed (so the checksum no longer stands in the
+/// way), must either
+/// be rejected with a [`PipelineError`] or load and run — never panic.
+/// An abort (e.g. an allocation sized by a corrupt field) would kill the
+/// test binary, so reaching the assertions also rules those out.
+///
+/// Fuel is part of the serialized configuration, so every mutant that
+/// loads runs bounded. The workload needs under 300 steps per call; the
+/// budget leaves ample headroom but stays small because a few mutants
+/// turn the allocator into a `memory.grow` loop, and nothing but fuel
+/// bounds how far linear memory grows (up to 4 GiB at 1M steps).
+#[test]
+fn rwart_byte_flip_sweep_never_panics() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let engine = Engine::with_config(EngineConfig::new().exec(Exec::Wasm).fuel(2_000));
+    let bytes = engine
+        .compile(&counter_set())
+        .unwrap()
+        .serialize()
+        .expect("Exec::Wasm artifact serializes");
+    let body_len = bytes.len() - 16;
+
+    let run = |mutant: &[u8]| -> Result<(), PipelineError> {
+        let mut inst = richwasm_repro::Artifact::deserialize(mutant)?.instantiate()?;
+        inst.invoke("app", "setup", vec![Value::i32(2)])?;
+        inst.invoke("app", "bump", vec![Value::Unit])?;
+        inst.invoke("app", "total", vec![Value::Unit])?;
+        Ok(())
+    };
+
+    let mut loaded = 0u32;
+    let mut panics = Vec::new();
+    for idx in 0..body_len {
+        for mask in [0x01u8, 0x80, 0xFF] {
+            let mut mutant = bytes.clone();
+            mutant[idx] ^= mask;
+            let sum = fnv128(&mutant[..body_len]).to_le_bytes();
+            mutant[body_len..].copy_from_slice(&sum);
+            match catch_unwind(AssertUnwindSafe(|| run(&mutant))) {
+                Ok(Ok(())) => loaded += 1,
+                Ok(Err(_)) => {}
+                Err(_) => panics.push((idx, mask)),
+            }
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "{} mutants panicked (byte, mask): {:?}",
+        panics.len(),
+        &panics[..panics.len().min(20)]
+    );
+    assert!(loaded > 0, "no mutant loaded: the sweep is vacuous");
 }
 
 #[test]
-fn v2_cache_files_fall_back_to_a_cold_recompile() {
-    let dir = scratch_dir("v2_fallback");
-    let config = || EngineConfig::new().exec(Exec::Wasm).cache_dir(&dir);
+fn v3_cache_files_fall_back_to_a_cold_recompile() {
+    use richwasm_repro::WasmTier;
 
-    // Warm the disk cache, then rewrite the entry as a v2-era file:
-    // same payload, old magic, checksum re-sealed (so only the version
-    // byte distinguishes it from a genuine stale-format file).
+    let dir = scratch_dir("v3_fallback");
+    let config = || {
+        EngineConfig::new()
+            .exec(Exec::Wasm)
+            .wasm_tier(WasmTier::Tree)
+            .cache_dir(&dir)
+    };
+
+    // Warm the disk cache, then rewrite the entry as the v3 writer wrote
+    // it. For a Tree-tier artifact v3 had the v4 layout plus a trailing
+    // bytecode section with zero payloads, so this is a real v3 file:
+    // old magic, empty bytecode section, checksum re-sealed.
     let a = Engine::with_config(config());
     let artifact = a.compile(&counter_set()).unwrap();
     let path = std::fs::read_dir(&dir)
@@ -857,74 +961,35 @@ fn v2_cache_files_fall_back_to_a_cold_recompile() {
         .map(|e| e.unwrap().path())
         .find(|p| p.extension().is_some_and(|e| e == "rwart"))
         .expect("cache entry written");
-    let mut v2 = std::fs::read(&path).unwrap();
-    v2[5] = 0x02;
-    let body_len = v2.len() - 16;
-    let sum = fnv128(&v2[..body_len]).to_le_bytes();
-    v2[body_len..].copy_from_slice(&sum);
-    std::fs::write(&path, &v2).unwrap();
+    let v4 = std::fs::read(&path).unwrap();
+    let mut v3 = v4[..v4.len() - 16].to_vec();
+    v3[5] = 0x03;
+    v3.extend_from_slice(&0u32.to_le_bytes());
+    let sum = fnv128(&v3).to_le_bytes();
+    v3.extend_from_slice(&sum);
+    std::fs::write(&path, &v3).unwrap();
     assert!(
-        richwasm_repro::Artifact::deserialize(&v2).is_err(),
-        "a v2 file must not deserialize as v3"
+        richwasm_repro::Artifact::deserialize(&v3).is_err(),
+        "a v3 file must not deserialize as v4"
     );
 
-    // A fresh engine sees the stale file, counts a disk miss, recompiles
-    // cold, and still produces the identical artifact.
+    // A fresh engine sees the stale file, counts one disk miss,
+    // recompiles cold, and still produces the identical artifact.
     let b = Engine::with_config(config());
     let recompiled = b.compile(&counter_set()).unwrap();
-    assert_eq!(b.cache_stats().disk_misses, 1, "stale v2 file is a miss");
+    let stats = b.cache_stats();
+    assert_eq!(stats.disk_misses, 1, "stale v3 file is a miss: {stats:?}");
+    assert_eq!(stats.misses, 1, "{stats:?}");
     assert_eq!(recompiled.key(), artifact.key());
     assert_eq!(recompiled.wasm_binaries(), artifact.wasm_binaries());
 
+    // The miss rewrote the entry as v4: the next engine disk-hits.
+    assert_eq!(&std::fs::read(&path).unwrap()[..6], b"RWART\x04");
+    let c = Engine::with_config(config());
+    c.compile(&counter_set()).unwrap();
+    assert_eq!(c.cache_stats().disk_hits, 1);
+
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn stale_bytecode_payload_recompiles_without_a_cold_compile() {
-    // Bump the self-versioned bytecode payload inside a valid v3 file
-    // (re-sealing the checksum): deserialize must succeed by
-    // recompiling the bytecode from the still-good `.wasm` bytes.
-    let engine = Engine::with_config(EngineConfig::new().exec(Exec::Wasm));
-    let artifact = engine.compile(&counter_set()).unwrap();
-    let bytes = artifact.serialize().unwrap();
-    let good = richwasm_repro::Artifact::deserialize(&bytes).unwrap();
-
-    // Each bytecode payload begins with its u16 format version. Rather
-    // than parse section offsets, locate each payload by re-encoding the
-    // known-good bytecode and searching for the exact bytes.
-    let mut stale = bytes;
-    let body_len = stale.len() - 16;
-    let n = artifact.wasm_binaries().len();
-    let mut patched = 0;
-    use richwasm_wasm::compile::{compile_module, encode_compiled};
-    for (_, wm) in good.lowered_modules() {
-        let mut payload = Vec::new();
-        encode_compiled(&compile_module(wm), &mut payload);
-        if let Some(pos) = stale[..body_len]
-            .windows(payload.len())
-            .position(|w| w == payload.as_slice())
-        {
-            // u16 LE version is the payload's first two bytes.
-            stale[pos] = 0xFF;
-            stale[pos + 1] = 0xFF;
-            patched += 1;
-        }
-    }
-    assert_eq!(patched, n, "every bytecode payload located and staled");
-    let sum = fnv128(&stale[..body_len]).to_le_bytes();
-    stale[body_len..].copy_from_slice(&sum);
-
-    let fell_back = richwasm_repro::Artifact::deserialize(&stale)
-        .expect("stale bytecode must fall back to recompile, not fail");
-    let mut inst = fell_back.instantiate().unwrap();
-    inst.invoke("app", "setup", vec![Value::i32(2)]).unwrap();
-    inst.invoke("app", "bump", vec![Value::Unit]).unwrap();
-    assert_eq!(
-        inst.invoke("app", "total", vec![Value::Unit])
-            .unwrap()
-            .i32(),
-        Some(2)
-    );
 }
 
 #[test]
@@ -1002,13 +1067,22 @@ fn tree_tier_still_serves_and_caches_separately() {
             .i32(),
         Some(4)
     );
-    // Tree-tier artifacts carry no bytecode section but still serialize.
+    // Tree-tier artifacts compile no bytecode, and still serialize.
     let wasm_tree = Engine::with_config(
         EngineConfig::new()
             .exec(Exec::Wasm)
             .wasm_tier(WasmTier::Tree),
     );
     let artifact = wasm_tree.compile(&counter_set()).unwrap();
+    assert!(
+        artifact
+            .timings()
+            .entries()
+            .iter()
+            .all(|(s, _)| *s != Stage::Bytecode),
+        "Tree tier timed a bytecode stage: {}",
+        artifact.timings()
+    );
     let bytes = artifact.serialize().expect("tree-tier artifact serializes");
     let loaded = richwasm_repro::Artifact::deserialize(&bytes).unwrap();
     assert_eq!(loaded.config().wasm_tier, WasmTier::Tree);
